@@ -62,8 +62,7 @@ pub struct HeteroStudy {
     /// `cycle` column indexes into this list).
     pub mixes: Vec<String>,
     /// One point per scheduler, in
-    /// [`frontier_schedulers`](crate::experiments::frontier_schedulers)
-    /// order.
+    /// [`frontier_schedulers`] order.
     pub points: Vec<HeteroPoint>,
 }
 

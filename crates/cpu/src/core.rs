@@ -184,6 +184,9 @@ pub struct BlockStart {
     pub addr: PhysAddr,
 }
 
+/// End of a waiter chain (see [`RobEntry::waiters`]).
+const NO_WAITER: u64 = u64::MAX;
+
 #[derive(Debug, Clone)]
 struct RobEntry {
     instr: Instr,
@@ -194,6 +197,35 @@ struct RobEntry {
     consumers: u32,
     block_start: Option<CpuCycle>,
     block_reported: bool,
+    // Wakeup state, derived from the fields above (not checkpointed;
+    // `Core::rebuild_wakeup_state` recomputes it on restore).
+    /// Source operands whose producer has not completed; the entry is
+    /// ready to issue at zero.
+    pending: u8,
+    /// Head of the intrusive chain of consumer operands waiting on this
+    /// entry. A link is `consumer_seq << 1 | operand` (`NO_WAITER` ends
+    /// the chain).
+    waiters: u64,
+    /// Per source operand, the next link in its producer's chain.
+    next_waiter: [u64; 2],
+}
+
+impl RobEntry {
+    fn dispatched(instr: Instr, seq: u64) -> Self {
+        RobEntry {
+            instr,
+            seq,
+            issued: false,
+            completed: false,
+            waiting_mem: false,
+            consumers: 0,
+            block_start: None,
+            block_reported: false,
+            pending: 0,
+            waiters: NO_WAITER,
+            next_waiter: [NO_WAITER; 2],
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,6 +244,13 @@ pub struct Core {
     lq_used: usize,
     sq_used: usize,
     store_buffer: VecDeque<(PhysAddr, StoreState)>,
+    /// Unissued ROB seqs in program order; the issue window is the
+    /// first `issue_window` of them.
+    unissued: VecDeque<u64>,
+    /// Ready (`pending == 0`) entries inside the issue window.
+    window_ready: usize,
+    /// Store-buffer entries in [`StoreState::Waiting`].
+    waiting_stores: usize,
     /// Fixed-latency (and memory-resolved) completions: (cycle, seq).
     completions: BinaryHeap<Reverse<(CpuCycle, u64)>>,
     /// In-flight load/store tokens -> ROB seq (or u64::MAX for store
@@ -264,6 +303,9 @@ impl Core {
             lq_used: 0,
             sq_used: 0,
             store_buffer: VecDeque::with_capacity(cfg.store_buffer),
+            unissued: VecDeque::with_capacity(cfg.rob_entries),
+            window_ready: 0,
+            waiting_stores: 0,
             completions: BinaryHeap::new(),
             pending_mem: HashMap::new(),
             mem_ready: Vec::new(),
@@ -346,15 +388,92 @@ impl Core {
             .and_then(|i| self.rob.get_mut(i as usize))
     }
 
-    fn dep_ready(&self, seq: u64, dist: Option<u16>) -> bool {
-        let Some(d) = dist else { return true };
-        let Some(producer) = seq.checked_sub(u64::from(d)) else {
-            return true;
-        };
-        if producer < self.base_seq {
-            return true; // already committed
+    /// Whether the unissued entry `seq` lies inside the issue window.
+    #[inline]
+    fn in_window(&self, seq: u64) -> bool {
+        let w = self.cfg.issue_window;
+        self.unissued.len() <= w || seq <= self.unissued[w - 1]
+    }
+
+    /// Chains the source operands of entry `seq` onto the waiter lists
+    /// of producers still in flight, setting its `pending` count.
+    /// Producers that have committed, precede the stream, or have
+    /// completed satisfy the operand at once. With `count_consumers`,
+    /// also bumps each load producer's CLPT consumer count.
+    fn link_operands(&mut self, seq: u64, count_consumers: bool) {
+        let instr = self.entry(seq).expect("linked entry is in the ROB").instr;
+        let mut pending = 0;
+        let mut next_waiter = [NO_WAITER; 2];
+        for (operand, dist) in [instr.src1, instr.src2].into_iter().enumerate() {
+            let Some(d) = dist else { continue };
+            debug_assert_ne!(d, 0, "producer distance 0 names the consumer itself");
+            let Some(p) = seq
+                .checked_sub(u64::from(d))
+                .and_then(|pseq| self.entry_mut(pseq))
+            else {
+                continue; // committed, or before the first instruction
+            };
+            if count_consumers && p.instr.kind.is_load() {
+                p.consumers += 1;
+            }
+            if !p.completed {
+                next_waiter[operand] = p.waiters;
+                p.waiters = seq << 1 | operand as u64;
+                pending += 1;
+            }
         }
-        self.entry(producer).map(|e| e.completed).unwrap_or(true)
+        let e = self.entry_mut(seq).expect("linked entry is in the ROB");
+        e.pending = pending;
+        e.next_waiter = next_waiter;
+    }
+
+    /// Appends the linked, unissued entry `seq` to the select queue.
+    fn push_unissued(&mut self, seq: u64) {
+        self.unissued.push_back(seq);
+        if self.entry(seq).is_some_and(|e| e.pending == 0) && self.in_window(seq) {
+            self.window_ready += 1;
+        }
+    }
+
+    /// Marks entry `seq` completed and wakes every consumer operand
+    /// chained on it.
+    fn complete(&mut self, seq: u64) {
+        let Some(e) = self.entry_mut(seq) else { return };
+        e.completed = true;
+        e.waiting_mem = false;
+        let mut link = std::mem::replace(&mut e.waiters, NO_WAITER);
+        while link != NO_WAITER {
+            let (cseq, operand) = (link >> 1, (link & 1) as usize);
+            let c = self
+                .entry_mut(cseq)
+                .expect("waiting consumer is in the ROB");
+            link = std::mem::replace(&mut c.next_waiter[operand], NO_WAITER);
+            c.pending -= 1;
+            if c.pending == 0 && self.in_window(cseq) {
+                self.window_ready += 1;
+            }
+        }
+    }
+
+    /// Recomputes the derived wakeup state (waiter chains, `pending`,
+    /// the unissued list and both counters) from the checkpointed ROB
+    /// and store buffer. Linking in program order reproduces the
+    /// chains dispatch built.
+    fn rebuild_wakeup_state(&mut self) {
+        self.unissued.clear();
+        self.window_ready = 0;
+        for i in 0..self.rob.len() {
+            let seq = self.rob[i].seq;
+            self.link_operands(seq, false);
+            if !self.rob[i].issued {
+                self.push_unissued(seq);
+            }
+        }
+        self.waiting_stores = self
+            .store_buffer
+            .iter()
+            .filter(|(_, s)| *s == StoreState::Waiting)
+            .count();
     }
 
     /// The earliest future cycle at which stepping this core could do
@@ -375,9 +494,11 @@ impl Core {
     ///   after its one-shot block transitions (and the §5.1 forwarding
     ///   event they surface) have fired.
     /// * **store buffer** — a `Waiting` entry retries the hierarchy
-    ///   every cycle.
+    ///   every cycle (read off the `Waiting`-entry counter).
     /// * **issue** — any dependence-ready unissued entry inside the
     ///   issue window reaches a functional unit or probes the cache.
+    ///   Wakeup keeps a count of such entries, so this is O(1): no ROB
+    ///   scan.
     /// * **dispatch** — mirrors `dispatch`'s precedence: redirect
     ///   stall (counter until `fetch_stall_until`), fetch-target cap
     ///   and full ROB (inert), then a stashed structurally-stalled
@@ -387,6 +508,12 @@ impl Core {
     ///   memory completions, and the predictor's periodic reset bound
     ///   the horizon.
     pub fn quiescent_until(&self, now: CpuCycle) -> CpuCycle {
+        self.quiescent_given(now, self.waiting_stores > 0 || self.window_ready > 0)
+    }
+
+    /// [`Core::quiescent_until`] with the "a store waits to drain or a
+    /// ready entry sits in the issue window" answer supplied.
+    fn quiescent_given(&self, now: CpuCycle, ready_work: bool) -> CpuCycle {
         let nxt = now + 1;
         if let Some(head) = self.rob.front() {
             if head.completed {
@@ -401,25 +528,8 @@ impl Core {
                 return nxt;
             }
         }
-        if self
-            .store_buffer
-            .iter()
-            .any(|(_, s)| *s == StoreState::Waiting)
-        {
+        if ready_work {
             return nxt;
-        }
-        let mut window = self.cfg.issue_window;
-        for e in &self.rob {
-            if window == 0 {
-                break;
-            }
-            if e.issued {
-                continue;
-            }
-            window -= 1;
-            if self.dep_ready(e.seq, e.instr.src1) && self.dep_ready(e.seq, e.instr.src2) {
-                return nxt;
-            }
         }
         let mut horizon = CpuCycle::MAX;
         if nxt < self.fetch_stall_until {
@@ -520,9 +630,8 @@ impl Core {
                     {
                         self.store_buffer.remove(pos);
                     }
-                } else if let Some(e) = self.entry_mut(seq) {
-                    e.completed = true;
-                    e.waiting_mem = false;
+                } else {
+                    self.complete(seq);
                 }
             }
         }
@@ -534,23 +643,15 @@ impl Core {
                 break;
             }
             self.completions.pop();
-            let penalty = self.cfg.mispredict_penalty;
-            let mut redirect = None;
-            if let Some(e) = self.entry_mut(seq) {
-                e.completed = true;
+            self.complete(seq);
+            if let Some(e) = self.entry(seq) {
                 if let InstrKind::Branch { mispredict } = e.instr.kind {
+                    self.unresolved_branches = self.unresolved_branches.saturating_sub(1);
                     if mispredict {
-                        redirect = Some(at + penalty);
+                        let until = at + self.cfg.mispredict_penalty;
+                        self.fetch_stall_until = self.fetch_stall_until.max(until);
                     }
                 }
-            }
-            if let Some(e) = self.entry(seq) {
-                if e.instr.kind.is_branch() {
-                    self.unresolved_branches = self.unresolved_branches.saturating_sub(1);
-                }
-            }
-            if let Some(until) = redirect {
-                self.fetch_stall_until = self.fetch_stall_until.max(until);
             }
         }
     }
@@ -607,6 +708,7 @@ impl Core {
                     self.stats.stores += 1;
                     self.sq_used -= 1;
                     self.store_buffer.push_back((addr, StoreState::Waiting));
+                    self.waiting_stores += 1;
                 }
                 InstrKind::Branch { .. } => {
                     self.stats.branches += 1;
@@ -619,6 +721,9 @@ impl Core {
 
     fn drain_store_buffer(&mut self, now: CpuCycle, mem: &mut CacheHierarchy) {
         // One new drain attempt per cycle, oldest waiting entry first.
+        if self.waiting_stores == 0 {
+            return;
+        }
         let Some(pos) = self
             .store_buffer
             .iter()
@@ -636,15 +741,22 @@ impl Core {
         ) {
             AccessOutcome::Done(_) => {
                 self.store_buffer.remove(pos);
+                self.waiting_stores -= 1;
             }
             AccessOutcome::Pending(token) => {
                 self.pending_mem.insert(token.0, u64::MAX);
                 self.store_buffer[pos].1 = StoreState::Inflight(token.0);
+                self.waiting_stores -= 1;
             }
             AccessOutcome::Retry => {}
         }
     }
 
+    /// Select: walks the issue window (the first `issue_window`
+    /// unissued entries, in program order) and sends ready entries to
+    /// free functional units. Ready entries blocked on a busy unit, and
+    /// loads the hierarchy turns away, stay in the window. The walk
+    /// stops early once it has passed every ready entry in the window.
     fn issue(&mut self, now: CpuCycle, mem: &mut CacheHierarchy) {
         let mut budget = self.cfg.issue_width;
         let mut int_u = self.cfg.int_units;
@@ -654,23 +766,25 @@ impl Core {
         let mut br_u = self.cfg.br_units;
         let mut int_mul_u = self.cfg.int_mul_units;
         let mut fp_mul_u = self.cfg.fp_mul_units;
-        let mut window = self.cfg.issue_window;
-        let mut idx = 0;
-        while budget > 0 && window > 0 && idx < self.rob.len() {
+        let window = self.cfg.issue_window;
+        let mut ready_left = self.window_ready;
+        let mut issued = 0;
+        // `pos` indexes `unissued`; entries that issue are removed in
+        // place, so `scanned` tracks the start-of-cycle window.
+        let mut pos = 0;
+        let mut scanned = 0;
+        while budget > 0 && ready_left > 0 && scanned < window && pos < self.unissued.len() {
+            scanned += 1;
+            let seq = self.unissued[pos];
+            let idx = (seq - self.base_seq) as usize;
             let e = &self.rob[idx];
-            if e.issued {
-                idx += 1;
+            if e.pending > 0 {
+                pos += 1;
                 continue;
             }
-            window -= 1;
-            let seq = e.seq;
+            ready_left -= 1;
             let kind = e.instr.kind;
             let pc = e.instr.pc;
-            let ready = self.dep_ready(seq, e.instr.src1) && self.dep_ready(seq, e.instr.src2);
-            if !ready {
-                idx += 1;
-                continue;
-            }
             // Functional-unit check.
             let unit = match kind {
                 InstrKind::IntAlu => &mut int_u,
@@ -682,12 +796,12 @@ impl Core {
                 InstrKind::Branch { .. } => &mut br_u,
             };
             if *unit == 0 {
-                idx += 1;
+                pos += 1;
                 continue;
             }
             *unit -= 1;
             budget -= 1;
-            match kind {
+            let went = match kind {
                 InstrKind::Load { addr } => {
                     let crit = self.predictor.predict(pc);
                     match mem.access(self.id, addr, CacheAccessKind::Load, crit, now) {
@@ -696,33 +810,46 @@ impl Core {
                             if crit.is_critical() {
                                 self.stats.issued_critical_loads += 1;
                             }
-                            let e = &mut self.rob[idx];
-                            e.issued = true;
                             self.completions.push(Reverse((t.max(now + 1), seq)));
+                            true
                         }
                         AccessOutcome::Pending(token) => {
                             self.stats.issued_loads += 1;
                             if crit.is_critical() {
                                 self.stats.issued_critical_loads += 1;
                             }
-                            let e = &mut self.rob[idx];
-                            e.issued = true;
-                            e.waiting_mem = true;
+                            self.rob[idx].waiting_mem = true;
                             self.pending_mem.insert(token.0, seq);
+                            true
                         }
-                        AccessOutcome::Retry => {
-                            // Port consumed, load retries next cycle.
-                        }
+                        // Port consumed, load retries next cycle.
+                        AccessOutcome::Retry => false,
                     }
                 }
                 _ => {
-                    let e = &mut self.rob[idx];
-                    e.issued = true;
                     let lat = kind.fixed_latency().max(1);
                     self.completions.push(Reverse((now + lat, seq)));
+                    true
                 }
+            };
+            if went {
+                self.rob[idx].issued = true;
+                self.unissued.remove(pos);
+                issued += 1;
+            } else {
+                pos += 1;
             }
-            idx += 1;
+        }
+        // The issued entries left the window; as many unissued entries
+        // behind it slide in.
+        self.window_ready -= issued;
+        for i in window - issued..window {
+            let Some(&seq) = self.unissued.get(i) else {
+                break;
+            };
+            if self.rob[(seq - self.base_seq) as usize].pending == 0 {
+                self.window_ready += 1;
+            }
         }
     }
 
@@ -834,14 +961,13 @@ impl Core {
             };
             let block_reported = r.get_bool()?;
             self.rob.push_back(RobEntry {
-                instr,
-                seq,
                 issued,
                 completed,
                 waiting_mem,
                 consumers,
                 block_start,
                 block_reported,
+                ..RobEntry::dispatched(instr, seq)
             });
         }
         self.base_seq = r.get_u64()?;
@@ -891,6 +1017,7 @@ impl Core {
             let mut pr = critmem_common::codec::ByteReader::new(&pred);
             self.predictor.load_state(&mut pr)?;
         }
+        self.rebuild_wakeup_state();
         Ok(())
     }
 
@@ -940,26 +1067,10 @@ impl Core {
                 InstrKind::Branch { .. } => self.unresolved_branches += 1,
                 _ => {}
             }
-            // Consumer counting for the CLPT: bump each load producer.
-            for dist in [instr.src1, instr.src2].into_iter().flatten() {
-                if let Some(pseq) = seq.checked_sub(u64::from(dist)) {
-                    if let Some(p) = self.entry_mut(pseq) {
-                        if p.instr.kind.is_load() {
-                            p.consumers += 1;
-                        }
-                    }
-                }
-            }
-            self.rob.push_back(RobEntry {
-                instr,
-                seq,
-                issued: false,
-                completed: false,
-                waiting_mem: false,
-                consumers: 0,
-                block_start: None,
-                block_reported: false,
-            });
+            self.rob.push_back(RobEntry::dispatched(instr, seq));
+            // Wakeup linking, plus consumer counting for the CLPT.
+            self.link_operands(seq, true);
+            self.push_unissued(seq);
         }
         let _ = now;
     }
@@ -970,6 +1081,8 @@ mod tests {
     use super::*;
     use crate::predictor::NoPredictor;
     use critmem_cache::HierarchyConfig;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// A tiny scripted instruction source.
     struct Script {
@@ -1167,6 +1280,356 @@ mod tests {
         }
         assert!(core.done());
         assert_eq!(seen.get(), 3, "the load has exactly three direct consumers");
+    }
+
+    /// Reference for the wakeup state: the per-cycle dependence scan
+    /// the core used before wakeup/select. Whether operand `dist` of
+    /// entry `seq` has its value.
+    fn oracle_dep_ready(core: &Core, seq: u64, dist: Option<u16>) -> bool {
+        let Some(d) = dist else { return true };
+        let Some(producer) = seq.checked_sub(u64::from(d)) else {
+            return true;
+        };
+        if producer < core.base_seq {
+            return true; // already committed
+        }
+        core.entry(producer).map(|e| e.completed).unwrap_or(true)
+    }
+
+    /// Oracle: dependence-ready entries among the first `issue_window`
+    /// unissued ones, in program order.
+    fn oracle_window_ready(core: &Core) -> Vec<u64> {
+        core.rob
+            .iter()
+            .filter(|e| !e.issued)
+            .take(core.cfg.issue_window)
+            .filter(|e| {
+                oracle_dep_ready(core, e.seq, e.instr.src1)
+                    && oracle_dep_ready(core, e.seq, e.instr.src2)
+            })
+            .map(|e| e.seq)
+            .collect()
+    }
+
+    /// Oracle select: the window entries the scan-based issue loop
+    /// granted a functional unit, in grant order.
+    fn oracle_granted(core: &Core) -> Vec<u64> {
+        let c = &core.cfg;
+        let mut units = [
+            c.int_units,
+            c.int_mul_units,
+            c.fp_units,
+            c.fp_mul_units,
+            c.ld_units,
+            c.st_units,
+            c.br_units,
+        ];
+        let mut budget = c.issue_width;
+        let mut granted = Vec::new();
+        for seq in oracle_window_ready(core) {
+            if budget == 0 {
+                break;
+            }
+            let unit = match core.entry(seq).unwrap().instr.kind {
+                InstrKind::IntAlu => &mut units[0],
+                InstrKind::IntMul => &mut units[1],
+                InstrKind::FpAlu => &mut units[2],
+                InstrKind::FpMul => &mut units[3],
+                InstrKind::Load { .. } => &mut units[4],
+                InstrKind::Store { .. } => &mut units[5],
+                InstrKind::Branch { .. } => &mut units[6],
+            };
+            if *unit == 0 {
+                continue;
+            }
+            *unit -= 1;
+            budget -= 1;
+            granted.push(seq);
+        }
+        granted
+    }
+
+    fn oracle_store_waiting(core: &Core) -> bool {
+        core.store_buffer
+            .iter()
+            .any(|(_, s)| *s == StoreState::Waiting)
+    }
+
+    /// Checks every piece of derived wakeup state against the scans.
+    fn check_wakeup_state(core: &Core) {
+        let unissued: Vec<u64> = core
+            .rob
+            .iter()
+            .filter(|e| !e.issued)
+            .map(|e| e.seq)
+            .collect();
+        assert!(core.unissued.iter().eq(unissued.iter()), "unissued list");
+        assert_eq!(
+            core.window_ready,
+            oracle_window_ready(core).len(),
+            "ready count in the window"
+        );
+        let waiting = core
+            .store_buffer
+            .iter()
+            .filter(|(_, s)| *s == StoreState::Waiting)
+            .count();
+        assert_eq!(core.waiting_stores, waiting, "waiting store count");
+        for e in &core.rob {
+            let in_flight = [e.instr.src1, e.instr.src2]
+                .into_iter()
+                .filter(|&d| !oracle_dep_ready(core, e.seq, d))
+                .count();
+            assert_eq!(
+                usize::from(e.pending),
+                in_flight,
+                "pending of seq {}",
+                e.seq
+            );
+            if e.completed {
+                assert_eq!(
+                    e.waiters, NO_WAITER,
+                    "completed seq {} keeps waiters",
+                    e.seq
+                );
+            }
+        }
+    }
+
+    /// Per-entry wakeup fields: `pending`, `waiters`, `next_waiter`.
+    type EntryWakeup = (u8, u64, [u64; 2]);
+
+    /// The derived state, for comparing a live core with a restored one.
+    fn wakeup_state(core: &Core) -> (Vec<EntryWakeup>, Vec<u64>, usize, usize) {
+        (
+            core.rob
+                .iter()
+                .map(|e| (e.pending, e.waiters, e.next_waiter))
+                .collect(),
+            core.unissued.iter().copied().collect(),
+            core.window_ready,
+            core.waiting_stores,
+        )
+    }
+
+    /// Coverage of one differential run.
+    #[derive(Default)]
+    struct Coverage {
+        retries: usize,
+        fu_blocked: usize,
+        woken: usize,
+        restores: usize,
+    }
+
+    /// A predictor that records the PC of every `predict` call.
+    struct Recorder(Rc<RefCell<Vec<Pc>>>);
+
+    impl LoadCriticalityPredictor for Recorder {
+        fn predict(&mut self, pc: Pc) -> Criticality {
+            self.0.borrow_mut().push(pc);
+            Criticality::non_critical()
+        }
+        fn on_block_commit(&mut self, _pc: Pc, _stall: u64) {}
+        fn on_load_commit(&mut self, _pc: Pc, _consumers: u32) {}
+        fn tick(&mut self, _now: CpuCycle) {}
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+    }
+
+    /// Steps `core` through the same stages in the same order as
+    /// [`Core::step`], checking the wakeup state against the oracle
+    /// before select, the issued set and the predictor calls after it,
+    /// and the horizon at the end of the cycle.
+    fn step_checked(
+        core: &mut Core,
+        now: CpuCycle,
+        src: &mut dyn InstrSource,
+        mem: &mut CacheHierarchy,
+        predicted: &RefCell<Vec<Pc>>,
+        cov: &mut Coverage,
+    ) {
+        let waiting_before: Vec<u64> = core
+            .rob
+            .iter()
+            .filter(|e| e.pending > 0)
+            .map(|e| e.seq)
+            .collect();
+        core.stats.cycles += 1;
+        core.predictor.tick(now);
+        core.apply_mem_completions(now);
+        core.apply_fixed_completions(now);
+        core.commit(now);
+        core.drain_store_buffer(now, mem);
+        check_wakeup_state(core);
+        cov.woken += waiting_before
+            .iter()
+            .filter(|&&s| core.entry(s).is_some_and(|e| e.pending == 0))
+            .count();
+
+        let ready = oracle_window_ready(core);
+        let granted = oracle_granted(core);
+        if granted.len() < ready.len().min(core.cfg.issue_width) {
+            cov.fu_blocked += 1;
+        }
+        let loads_before = core.stats.issued_loads;
+        let candidates: Vec<u64> = core.unissued.iter().copied().collect();
+        predicted.borrow_mut().clear();
+        core.issue(now, mem);
+        // Every granted load consults the predictor, in grant order.
+        let granted_load_pcs: Vec<Pc> = granted
+            .iter()
+            .map(|&s| core.entry(s).unwrap().instr)
+            .filter(|i| i.kind.is_load())
+            .map(|i| i.pc)
+            .collect();
+        assert_eq!(*predicted.borrow(), granted_load_pcs, "predict calls");
+        let issued: Vec<u64> = candidates
+            .into_iter()
+            .filter(|&s| core.entry(s).unwrap().issued)
+            .collect();
+        let mut rest = granted.iter();
+        for s in &issued {
+            assert!(rest.any(|g| g == s), "seq {s} issued without a grant");
+        }
+        for s in granted.iter().filter(|s| !issued.contains(s)) {
+            assert!(
+                core.entry(*s).unwrap().instr.kind.is_load(),
+                "granted non-load seq {s} did not issue"
+            );
+            cov.retries += 1;
+        }
+        let issued_loads = issued
+            .iter()
+            .filter(|&&s| core.entry(s).unwrap().instr.kind.is_load())
+            .count();
+        assert_eq!(core.stats.issued_loads - loads_before, issued_loads as u64);
+
+        core.dispatch(now, src);
+        check_wakeup_state(core);
+        let ready_work = oracle_store_waiting(core) || !oracle_window_ready(core).is_empty();
+        assert_eq!(
+            core.quiescent_until(now),
+            core.quiescent_given(now, ready_work),
+            "horizon at cycle {now}"
+        );
+    }
+
+    fn random_script(rng: &mut critmem_common::SmallRng, len: usize) -> Vec<Instr> {
+        fn dist(rng: &mut critmem_common::SmallRng) -> Option<u16> {
+            match rng.gen_range(0..8) {
+                0 | 1 => None,
+                2..=4 => Some(rng.gen_range(1..6) as u16),
+                5 | 6 => Some(rng.gen_range(1..200) as u16),
+                // Reaches committed producers and, early on, before the
+                // first instruction.
+                _ => Some(rng.gen_range(100..2_000) as u16),
+            }
+        }
+        (0..len)
+            .map(|i| {
+                let line = if rng.gen_bool(0.4) {
+                    rng.gen_range(0..64) // L1-resident
+                } else {
+                    rng.gen_range(0..1 << 20) // misses to DRAM
+                };
+                let kind = match rng.gen_range(0..12) {
+                    0..=2 => InstrKind::Load { addr: line * 64 },
+                    3 | 4 => InstrKind::Store { addr: line * 64 },
+                    5 => InstrKind::Branch {
+                        mispredict: rng.gen_bool(0.3),
+                    },
+                    6 => InstrKind::IntMul,
+                    7 => InstrKind::FpMul,
+                    8 => InstrKind::FpAlu,
+                    _ => InstrKind::IntAlu,
+                };
+                let src1 = dist(rng);
+                let src2 = if rng.gen_bool(0.15) { src1 } else { dist(rng) };
+                Instr::new((i as u64 % 61) * 4, kind).with_deps(src1, src2)
+            })
+            .collect()
+    }
+
+    /// Runs one seeded script under the oracle checks, servicing DRAM
+    /// with varied latency, and every few hundred cycles checks that a
+    /// checkpoint restore rebuilds the identical wakeup state.
+    fn differential_run(seed: u64, cfg: CoreConfig, mshrs: usize, cov: &mut Coverage) -> CoreStats {
+        let mut rng = critmem_common::SmallRng::seed_from_u64(seed);
+        let predicted = Rc::new(RefCell::new(Vec::new()));
+        let mut core = Core::new(CoreId(0), cfg, Box::new(Recorder(predicted.clone())), 3_000);
+        let mut hcfg = HierarchyConfig::paper_baseline(1);
+        hcfg.l1_mshrs = mshrs;
+        let mut mem = CacheHierarchy::new(hcfg);
+        let mut src = Script::new(random_script(&mut rng, 1_500));
+        let mut now = 0;
+        while !core.done() && now < 400_000 {
+            now += 1;
+            step_checked(&mut core, now, &mut src, &mut mem, &predicted, cov);
+            while let Some(req) = mem.pop_request(now) {
+                let latency = rng.gen_range(20..600);
+                for c in mem.dram_completed(&req, now + latency) {
+                    core.mem_completed(c.token.0, c.done);
+                }
+            }
+            if now % 397 == 0 {
+                let mut w = critmem_common::codec::ByteWriter::new();
+                core.save_state(&mut w);
+                let bytes = w.into_bytes();
+                let mut restored = Core::new(CoreId(0), cfg, Box::new(NoPredictor), 3_000);
+                restored
+                    .load_state(&mut critmem_common::codec::ByteReader::new(&bytes), true)
+                    .unwrap();
+                assert_eq!(
+                    wakeup_state(&restored),
+                    wakeup_state(&core),
+                    "restore at {now}"
+                );
+                cov.restores += 1;
+            }
+        }
+        assert!(core.done(), "seed {seed}: core wedged at cycle {now}");
+        core.stats().clone()
+    }
+
+    #[test]
+    fn wakeup_state_matches_the_scan_oracle() {
+        let base = CoreConfig::paper_baseline();
+        let narrow = CoreConfig {
+            rob_entries: 32,
+            lq_entries: 8,
+            sq_entries: 8,
+            store_buffer: 2,
+            issue_window: 3,
+            issue_width: 2,
+            int_units: 1,
+            fp_units: 1,
+            ld_units: 1,
+            ..base
+        };
+        let single = CoreConfig {
+            issue_window: 1,
+            store_buffer: 4,
+            ..base
+        };
+        let mut cov = Coverage::default();
+        let (mut sb_full, mut redirects, mut blocked) = (0, 0, 0);
+        for seed in 0..4 {
+            for (cfg, mshrs) in [(base, 2), (narrow, 1), (single, 8)] {
+                let stats = differential_run(seed, cfg, mshrs, &mut cov);
+                sb_full += stats.sb_full_cycles;
+                redirects += stats.redirect_stall_cycles;
+                blocked += stats.block_cycles;
+            }
+        }
+        // The scripts must reach the paths the wakeup state shadows.
+        assert!(cov.retries > 0, "no load was turned away");
+        assert!(cov.fu_blocked > 0, "no ready entry waited for a unit");
+        assert!(cov.woken > 0, "no consumer was woken");
+        assert!(cov.restores > 0);
+        assert!(sb_full > 0, "the store buffer never filled");
+        assert!(redirects > 0, "no mispredict redirect");
+        assert!(blocked > 0, "no load blocked the ROB head");
     }
 
     #[test]

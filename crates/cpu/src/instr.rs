@@ -97,8 +97,13 @@ impl Instr {
     }
 
     /// Attaches source-operand producer distances (builder style).
+    /// Distances are 1-based: 0 would name the instruction itself.
     #[must_use]
     pub fn with_deps(mut self, src1: Option<u16>, src2: Option<u16>) -> Self {
+        debug_assert!(
+            src1 != Some(0) && src2 != Some(0),
+            "producer distance 0 names the instruction itself"
+        );
         self.src1 = src1;
         self.src2 = src2;
         self
@@ -140,7 +145,8 @@ impl Instr {
     ///
     /// # Errors
     ///
-    /// Fails on a truncated stream or an unknown kind tag.
+    /// Fails on a truncated stream, an unknown kind tag, or a producer
+    /// distance of 0 or beyond `u16`.
     pub fn decode(
         r: &mut critmem_common::codec::ByteReader<'_>,
     ) -> Result<Self, critmem_common::codec::CodecError> {
@@ -168,12 +174,19 @@ impl Instr {
             if r.get_bool()? {
                 let at = r.position();
                 let d = r.get_u32()?;
-                *src = Some(
-                    u16::try_from(d).map_err(|_| critmem_common::codec::CodecError {
-                        message: format!("producer distance {d} exceeds u16"),
-                        offset: at,
-                    })?,
-                );
+                let bad = |message: String| critmem_common::codec::CodecError {
+                    message,
+                    offset: at,
+                };
+                *src = Some(match u16::try_from(d) {
+                    Ok(0) => {
+                        return Err(bad(
+                            "producer distance 0 names the instruction itself".into()
+                        ))
+                    }
+                    Ok(d) => d,
+                    Err(_) => return Err(bad(format!("producer distance {d} exceeds u16"))),
+                });
             }
         }
         Ok(Instr {
@@ -203,6 +216,40 @@ mod tests {
         assert!(InstrKind::Store { addr: 0 }.is_store());
         assert!(InstrKind::Branch { mispredict: true }.is_branch());
         assert!(!InstrKind::IntAlu.is_load());
+    }
+
+    fn encoded(i: &Instr) -> Vec<u8> {
+        let mut w = critmem_common::codec::ByteWriter::new();
+        i.encode(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decode_round_trips_and_rejects_bad_distances() {
+        let i = Instr::new(0x40, InstrKind::Load { addr: 0x1000 }).with_deps(Some(1), Some(300));
+        let bytes = encoded(&i);
+        let mut r = critmem_common::codec::ByteReader::new(&bytes);
+        assert_eq!(Instr::decode(&mut r).unwrap(), i);
+
+        // Patch src2's distance on the wire past the builder's check.
+        for (src2, needle) in [(0, "distance 0"), (70_000, "exceeds u16")] {
+            let mut bytes =
+                encoded(&Instr::new(0x40, InstrKind::IntAlu).with_deps(Some(1), Some(7)));
+            // src2's distance is the last field.
+            let at = bytes.len() - 4;
+            bytes[at..].copy_from_slice(&u32::to_le_bytes(src2));
+            let mut r = critmem_common::codec::ByteReader::new(&bytes);
+            let err = Instr::decode(&mut r).unwrap_err();
+            assert!(err.message.contains(needle), "{src2}: {}", err.message);
+            assert_eq!(err.offset, at);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "producer distance 0")]
+    #[cfg(debug_assertions)]
+    fn builder_rejects_distance_zero() {
+        let _ = Instr::new(0x40, InstrKind::IntAlu).with_deps(None, Some(0));
     }
 
     #[test]

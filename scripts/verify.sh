@@ -22,6 +22,12 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo doc --no-deps (warnings are errors; docs cannot rot)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
+echo "== benchmark self-test (bench cells equal the library's, traced runs validate)"
+# Tiny-length checks of every perfbench workload: the paper-sweep and
+# hetero-contention cells must equal what `table7` and `hetero_study`
+# simulate, and a traced run must pass validation.
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- --self-test
+
 echo "== trace capture/replay smoke test"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

@@ -292,3 +292,44 @@ fn baseline_cell_is_bit_exact_under_warm_start() {
     let b = warm.parallel("swim", SchedulerKind::FrFcfs, PredictorKind::None);
     assert_eq!(encode(&a), encode(&b));
 }
+
+/// CRC-32 and length of the `CMCK` artifact the test below saves. The
+/// core's wakeup state (waiter chains, ready counts) is derived, not
+/// serialized, so these equal the bytes the scan-based core wrote for
+/// the same cell.
+const CHAINED_CMCK: (u32, usize) = (3_851_472_469, 1_442_546);
+
+/// A checkpoint taken while the ROBs hold unissued consumers chained on
+/// loads still in flight, with stores in the store buffers: the restore
+/// rebuilds the waiter chains, and the continued run is bit-identical
+/// to the uninterrupted one. At this boundary (pinned by the CRC above)
+/// core 0 has 5 such loads with 10 waiting operands and 8 buffered
+/// stores, and core 1 has 15 loads, 30 operands and 24 stores.
+#[test]
+fn restore_rebuilds_waiters_chained_on_inflight_loads() {
+    let wl = AgentMix::Parallel("mg");
+    let cfg = small_cfg(2_000)
+        .with_scheduler(SchedulerKind::CasRasCrit)
+        .with_predictor(PredictorKind::cbp64(CbpMetric::MaxStallTime));
+    let cold = Session::new(cfg.clone(), &wl).run().unwrap().stats;
+    let bytes = Session::new(cfg.clone(), &wl)
+        .checkpoint_at(BOUNDARY)
+        .run_to_checkpoint()
+        .unwrap()
+        .to_bytes();
+    assert_eq!(
+        (critmem_common::crc32::checksum(&bytes), bytes.len()),
+        CHAINED_CMCK,
+        "CMCK bytes changed"
+    );
+    let ckpt = Checkpoint::from_bytes(&bytes).unwrap();
+    let warm = Session::from_checkpoint(&ckpt, cfg, &wl)
+        .run()
+        .unwrap()
+        .stats;
+    assert_eq!(
+        encode(&cold),
+        encode(&warm),
+        "warm continuation diverged from the cold run"
+    );
+}
