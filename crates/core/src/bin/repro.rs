@@ -20,7 +20,7 @@
 //! repro checkpoint restore <file> <app> [--sched <name>] [--pred <metric>]
 //! repro checkpoint sweep [app] [--cycles N] [--scale ...] [--jobs N]
 //! repro audit                       certification: every scheduler audited
-//! repro audit campaign              fault-injection detection-coverage table
+//! repro audit campaign              fault injection detection-coverage table
 //! repro audit inject <spec>         inject one fault, exit with its class code
 //!
 //! experiments: config fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
@@ -44,7 +44,7 @@ use critmem_trace::{ReplayConfig, Trace, TraceReplayer, TrafficProfile};
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale quick|standard|full] [--jobs N] [--journal <file> [--resume]]\n\
-         \x20            [--warm-cycles N] [--shards N] [--no-skip-ahead] [experiments...]\n\
+         \x20            [--warm-cycles N] [--no-skip-ahead] [experiments...]\n\
          \x20      repro trace capture <app> <file> [--scale ...]\n\
          \x20      repro trace replay <file> --sched <name> [--max-outstanding N]\n\
          \x20      repro trace stream <file> [--sched <name>] [--max-outstanding N] [--epoch N] [--window W]\n\
@@ -55,9 +55,9 @@ fn usage() -> ! {
          \x20      repro stats [apps...] [--sched <name>] [--pred <metric>|none] [--epoch N]\n\
          \x20                  [--format jsonl|csv] [--out <file>] [--scale ...] [--jobs N]\n\
          \x20      repro fairness [bundles...] [--format jsonl|csv] [--out <file>]\n\
-         \x20                     [--scale ...] [--jobs N] [--shards N]\n\
+         \x20                     [--scale ...] [--jobs N]\n\
          \x20      repro hetero [mixes...] [--format jsonl|csv] [--out <file>]\n\
-         \x20                   [--scale ...] [--jobs N] [--shards N]\n\
+         \x20                   [--scale ...] [--jobs N]\n\
          \x20                   (a mix is agent-grammar, e.g. ooo:mcf*2+stream:2@1.5;\n\
          \x20                    default: the three standard hetero mixes)\n\
          \x20      repro checkpoint save <app> <file> [--cycles N] [--scale ...]\n\
@@ -69,8 +69,6 @@ fn usage() -> ! {
          experiments: config fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 \
          table5 table7 naive reset tracesweep all\n\
          --jobs N: simulation worker threads (default: available cores; 1 = serial)\n\
-         --shards N: worker threads per simulation's DRAM tick (default 1; results are\n\
-         \x20           byte-identical at any value — this only changes wall clock)\n\
          --no-skip-ahead: disable event-driven clock skip-ahead (same results, slower)\n\
          --audit: attach the independent protocol/conservation auditors to every run\n\
          \x20        (results stay byte-identical; violations exit 4)\n\
@@ -92,12 +90,11 @@ fn fail(err: SimError) -> ! {
 }
 
 /// The engine-level knobs shared by every subcommand: sweep-level
-/// worker threads, per-simulation DRAM-tick shards, and skip-ahead.
-/// None of them change results; all of them change wall clock.
+/// worker threads, skip-ahead, and auditing. None of them change
+/// results; the first two change wall clock.
 #[derive(Clone, Copy)]
 struct EngineKnobs {
     jobs: usize,
-    shards: usize,
     skip_ahead: bool,
     audit: bool,
 }
@@ -105,7 +102,6 @@ struct EngineKnobs {
 impl EngineKnobs {
     fn apply(self, r: &mut Runner) {
         r.jobs = self.jobs;
-        r.shards = self.shards;
         r.skip_ahead = self.skip_ahead;
         r.audit = self.audit;
     }
@@ -373,7 +369,6 @@ fn print_replay_summary(stats: &critmem_trace::ReplayStats) {
 fn checkpoint_cfg(scale: &Scale, knobs: EngineKnobs) -> SystemConfig {
     let mut cfg = SystemConfig::paper_baseline(scale.instructions);
     cfg.max_cycles = scale.instructions.saturating_mul(20_000).max(1_000_000_000);
-    cfg.shards = knobs.shards;
     cfg.skip_ahead = knobs.skip_ahead;
     cfg.audit = knobs.audit;
     cfg
@@ -714,7 +709,7 @@ fn hetero_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
 }
 
 /// `repro audit [campaign | inject <spec>]`: certification by
-/// default, the fault-injection matrix with `campaign`, one targeted
+/// default, the fault injection matrix with `campaign`, one targeted
 /// fault with `inject`.
 fn audit_main(args: Vec<String>) -> ! {
     match args.first().map(String::as_str) {
@@ -770,11 +765,32 @@ fn audit_main(args: Vec<String>) -> ! {
     }
 }
 
+/// The experiment names the figure path accepts (see [`usage`]).
+const EXPERIMENTS: [&str; 18] = [
+    "config",
+    "fig1",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "table5",
+    "table7",
+    "naive",
+    "reset",
+    "tracesweep",
+    "all",
+];
+
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
     let mut scale = Scale::standard();
     let mut jobs = critmem::pool::default_jobs();
-    let mut shards = 1usize;
     let mut skip_ahead = true;
     let mut audit = false;
     let mut journal_path: Option<String> = None;
@@ -797,10 +813,6 @@ fn main() {
                 Some(n) if n >= 1 => jobs = n,
                 _ => usage(),
             },
-            "--shards" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => usage(),
-            },
             "--no-skip-ahead" => skip_ahead = false,
             "--audit" => audit = true,
             "--journal" => match args.next() {
@@ -818,7 +830,6 @@ fn main() {
     }
     let knobs = EngineKnobs {
         jobs,
-        shards,
         skip_ahead,
         audit,
     };
@@ -839,6 +850,12 @@ fn main() {
     }
     if selected.first().map(String::as_str) == Some("hetero") {
         hetero_main(selected.split_off(1), scale, knobs);
+    }
+    // An unknown flag or a misspelled experiment would otherwise fall
+    // through every `want` check and exit 0 having run nothing.
+    if let Some(bad) = selected.iter().find(|s| !EXPERIMENTS.contains(&s.as_str())) {
+        eprintln!("unknown experiment or flag {bad:?}");
+        usage();
     }
     if selected.is_empty() {
         selected.push("all".to_string());

@@ -489,12 +489,10 @@ pub struct SystemConfig {
     /// [`critmem_common::WatchdogConfig::disabled`] to turn the checks
     /// off entirely.
     pub watchdog: critmem_common::WatchdogConfig,
-    /// Worker threads for the sharded DRAM tick. `1` (the default)
-    /// keeps the tick serial; values above one partition the channels
-    /// across a scoped worker pool with a cycle barrier at the
-    /// L2↔controller boundary. Output is byte-identical at any shard
-    /// count — this is purely a wall-clock knob, so it is deliberately
-    /// excluded from checkpoint fingerprints and sweep memo keys.
+    /// Always `1`; [`SystemConfig::validate`] rejects any other value.
+    /// The DRAM tick is serial, and the simulator never reads this
+    /// field. It is kept only so the benchmark crate (`perfbench`),
+    /// which still checks it, compiles unchanged.
     pub shards: usize,
     /// Event-driven skip-ahead: when every component reports a quiet
     /// window, batch-advance the clock to the next event horizon
@@ -506,8 +504,7 @@ pub struct SystemConfig {
     /// every DRAM channel and a request-conservation auditor to the
     /// L2↔controller boundary. Audited runs are byte-identical in
     /// exported statistics to unaudited ones — the auditors only watch —
-    /// so, like [`SystemConfig::shards`] and
-    /// [`SystemConfig::skip_ahead`], this knob is excluded from
+    /// so, like [`SystemConfig::skip_ahead`], this knob is excluded from
     /// checkpoint fingerprints and sweep memo keys. A violation
     /// surfaces as a typed [`critmem_common::SimError::AuditViolation`].
     pub audit: bool,
@@ -579,15 +576,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the DRAM-tick shard count (builder style). The effective
-    /// worker count is clamped to the channel count at system build
-    /// time, so oversizing is harmless.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Enables the independent run auditors (builder style).
     #[must_use]
     pub fn with_audit(mut self) -> Self {
@@ -625,8 +613,11 @@ impl SystemConfig {
         if self.watchdog.enabled() && self.watchdog.check_interval == 0 {
             return Err("watchdog check interval must be nonzero".into());
         }
-        if self.shards == 0 {
-            return Err("shard count must be nonzero (1 = serial tick)".into());
+        if self.shards != 1 {
+            return Err(format!(
+                "shards must be 1 (the DRAM tick is serial), got {}",
+                self.shards
+            ));
         }
         Ok(())
     }
@@ -658,9 +649,10 @@ mod tests {
         let mut c = SystemConfig::paper_baseline(1000);
         assert_eq!(c.shards, 1, "default tick is serial");
         assert!(c.skip_ahead, "skip-ahead is on by default");
-        c.shards = 0;
-        assert!(c.validate().is_err());
-        assert!(SystemConfig::paper_baseline(1000).with_shards(4).shards == 4);
+        for bad in [0, 2] {
+            c.shards = bad;
+            assert!(c.validate().is_err(), "shards = {bad} must be rejected");
+        }
     }
 
     #[test]

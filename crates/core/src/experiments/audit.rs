@@ -19,7 +19,7 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{AgentMix, SystemConfig};
-use crate::experiments::harness::TextTable;
+use crate::experiments::harness::{Runner, TextTable};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::session::Session;
 use critmem_common::codec::ByteWriter;
@@ -230,8 +230,11 @@ impl FaultCampaign {
     }
 }
 
-/// The default fault matrix: one representative of every supported
-/// [`FaultKind`].
+/// The default fault matrix: one representative of every
+/// [`FaultKind`] whose detection the auditors and watchdog are
+/// responsible for. [`FaultKind::Panic`] is left out: it tests the
+/// sweep harness's panic isolation (`tests/resilience.rs`), not
+/// detection.
 fn default_faults() -> Vec<FaultKind> {
     vec![
         FaultKind::DropRequest { nth_read: 3 },
@@ -288,12 +291,16 @@ fn run_fault(kind: FaultKind) -> CampaignRow {
             ..
         } => wedge_replay(channel, rank, bank),
         live => {
+            // Isolated like a sweep cell, so an injected panic comes
+            // back as a typed `CellPanic` instead of aborting.
             let plan = FaultPlan::new(0xC0FFEE).with_fault(live);
-            Session::new(faulted_cfg(1_500), &AgentMix::Parallel("swim"))
-                .audit(true)
-                .fault(plan)
-                .run()
-                .map(|_| ())
+            Runner::isolated_cell(|| {
+                Session::new(faulted_cfg(1_500), &AgentMix::Parallel("swim"))
+                    .audit(true)
+                    .fault(plan.clone())
+                    .run()
+                    .map(|_| ())
+            })
         }
     };
     match outcome {
@@ -433,5 +440,13 @@ mod tests {
         assert_eq!(row.detection, Detection::AuditViolation);
         assert_eq!(row.exit_code, 4);
         assert!(inject("warp-core@n1").is_err());
+    }
+
+    #[test]
+    fn injected_panic_is_a_typed_cell_panic() {
+        let row = inject("panic@c5").unwrap();
+        assert_eq!(row.detection, Detection::TypedError);
+        assert_eq!(row.exit_code, 1);
+        assert!(row.detail.contains("panic@c5"), "{}", row.detail);
     }
 }

@@ -3,12 +3,12 @@
 
 use crate::checkpoint::{fingerprint_of, Checkpoint};
 use crate::config::{AgentMix, PredictorKind, SystemConfig};
-use crate::faults::FaultHooks;
+use crate::faults::FaultPlan;
 use crate::journal::{JournalEntry, SweepJournal};
 use crate::pool::scoped_map_isolated;
 use crate::session::Session;
 use crate::system::RunStats;
-use critmem_common::SimError;
+use critmem_common::{RequestObserver, SimError};
 use critmem_dram::DramSystem;
 use critmem_sched::SchedulerKind;
 use critmem_trace::{ReplayConfig, ReplayStats, Trace, TraceReplayer};
@@ -124,10 +124,6 @@ pub struct Runner {
     /// Worker threads for [`Runner::run_parallel`]; `1` means fully
     /// serial (plan/execute is bypassed entirely).
     pub jobs: usize,
-    /// Shard count for every simulation's DRAM tick
-    /// ([`SystemConfig::shards`]). Results are byte-identical at any
-    /// value, so the memo keys deliberately do not encode it.
-    pub shards: usize,
     /// Event-driven skip-ahead ([`SystemConfig::skip_ahead`]); also
     /// identical-by-construction and therefore absent from memo keys.
     pub skip_ahead: bool,
@@ -153,10 +149,9 @@ pub struct Runner {
     planning: Option<Plan>,
     failed: Vec<CellFailure>,
     journal: Option<SweepJournal>,
-    /// Panic-injection hooks for the resilience tests, owned per
-    /// runner so once-per-cell state never leaks across sweeps that
-    /// share a process.
-    hooks: FaultHooks,
+    /// Fault plans armed on individual cells by memo key (see
+    /// [`Runner::inject`]).
+    injected: HashMap<String, FaultPlan>,
     /// Shared warmup checkpoints, keyed by warm key; `None` records a
     /// failed warmup so dependent cells fall back to cold runs instead
     /// of retrying it.
@@ -170,7 +165,6 @@ impl Runner {
             scale,
             verbose: false,
             jobs: 1,
-            shards: 1,
             skip_ahead: true,
             audit: false,
             warm_cycles: None,
@@ -182,7 +176,7 @@ impl Runner {
             planning: None,
             failed: Vec::new(),
             journal: None,
-            hooks: FaultHooks::from_env(),
+            injected: HashMap::new(),
             checkpoints: HashMap::new(),
         }
     }
@@ -203,6 +197,16 @@ impl Runner {
     /// Whether any cell has failed.
     pub fn has_failures(&self) -> bool {
         !self.failed.is_empty()
+    }
+
+    /// Arms `plan` on the cell whose memo key equals `key`: the
+    /// execution-driven run, warmup, or trace capture built for that
+    /// cell runs under the plan (trace replays are not Session-built
+    /// and ignore it). The test seam for fault-isolated sweeps — e.g. a
+    /// [`FaultKind::Panic`](crate::FaultKind::Panic) plan exercises the
+    /// pool's panic containment on exactly one cell.
+    pub fn inject(&mut self, key: impl Into<String>, plan: FaultPlan) {
+        self.injected.insert(key.into(), plan);
     }
 
     /// Attaches a sweep journal: every simulation completed from now on
@@ -284,10 +288,19 @@ impl Runner {
         cfg: &SystemConfig,
         workload: &AgentMix,
         cycles: u64,
+        fault: Option<&FaultPlan>,
     ) -> Result<Checkpoint, SimError> {
-        Session::new(Self::warmup_cfg(cfg), workload)
+        Self::armed(Session::new(Self::warmup_cfg(cfg), workload), fault)
             .checkpoint_at(cycles)
             .run_to_checkpoint()
+    }
+
+    /// Arms the cell's injected fault plan, if any, on its session.
+    fn armed<O: RequestObserver>(session: Session<O>, fault: Option<&FaultPlan>) -> Session<O> {
+        match fault {
+            Some(plan) => session.fault(plan.clone()),
+            None => session,
+        }
     }
 
     /// Recalls or executes the shared warmup checkpoint for a cell
@@ -310,9 +323,8 @@ impl Runner {
         if self.verbose {
             eprintln!("  [warmup] {key}");
         }
-        let outcome = Self::isolated_cell(&self.hooks, &key, || {
-            Self::warmup_cell(cfg, workload, cycles)
-        });
+        let fault = self.injected.get(&key);
+        let outcome = Self::isolated_cell(|| Self::warmup_cell(cfg, workload, cycles, fault));
         self.runs_executed += 1;
         match outcome {
             Ok(ckpt) => {
@@ -334,19 +346,24 @@ impl Runner {
         cfg: &SystemConfig,
         workload: &AgentMix,
         warm: Option<&Arc<Checkpoint>>,
+        fault: Option<&FaultPlan>,
     ) -> Result<RunStats, SimError> {
         let session = match warm {
             Some(ckpt) => Session::from_checkpoint(ckpt, cfg.clone(), workload),
             None => Session::new(cfg.clone(), workload),
         };
-        session.run().map(|out| out.stats)
+        Self::armed(session, fault).run().map(|out| out.stats)
     }
 
     /// Captures one trace cell (always cold: the recorded request
     /// stream must start at cycle zero).
-    fn capture_cell(cfg: &SystemConfig, app: &'static str) -> Result<Trace, SimError> {
-        Session::new(cfg.clone(), &AgentMix::Parallel(app))
-            .traced(app)
+    fn capture_cell(
+        cfg: &SystemConfig,
+        app: &'static str,
+        fault: Option<&FaultPlan>,
+    ) -> Result<Trace, SimError> {
+        let session = Session::new(cfg.clone(), &AgentMix::Parallel(app)).traced(app);
+        Self::armed(session, fault)
             .run()
             .map(|out| out.observer.into_trace())
     }
@@ -438,10 +455,9 @@ impl Runner {
                         eprintln!("  [warmup] {key}");
                     }
                 }
-                let hooks = &self.hooks;
+                let injected = &self.injected;
                 let results = scoped_map_isolated(self.jobs, &needed, |(key, cfg, workload)| {
-                    hooks.maybe_inject(key);
-                    Self::warmup_cell(cfg, workload, cycles)
+                    Self::warmup_cell(cfg, workload, cycles, injected.get(key))
                 });
                 self.runs_executed += needed.len() as u64;
                 for ((key, ..), result) in needed.into_iter().zip(results) {
@@ -475,16 +491,14 @@ impl Runner {
                 (job, warm)
             })
             .collect();
-        let hooks = &self.hooks;
+        let injected = &self.injected;
         let results = scoped_map_isolated(self.jobs, &jobs, |(job, warm)| match job {
             PlannedJob::Run { key, cfg, workload } => {
-                hooks.maybe_inject(key);
-                Self::run_cell(cfg, workload, warm.as_ref())
+                Self::run_cell(cfg, workload, warm.as_ref(), injected.get(key))
                     .map(|stats| JobResult::Run(Box::new(stats)))
             }
             PlannedJob::Capture { key, app, cfg } => {
-                hooks.maybe_inject(key);
-                Self::capture_cell(cfg, app).map(JobResult::Capture)
+                Self::capture_cell(cfg, app, injected.get(key)).map(JobResult::Capture)
             }
         });
         for ((job, _), result) in jobs.into_iter().zip(results) {
@@ -535,9 +549,7 @@ impl Runner {
                 (rep.key, trace, rep.scheduler, cfg)
             })
             .collect();
-        let hooks = &self.hooks;
-        let results = scoped_map_isolated(self.jobs, &items, |(key, trace, scheduler, cfg)| {
-            hooks.maybe_inject(key);
+        let results = scoped_map_isolated(self.jobs, &items, |(_, trace, scheduler, cfg)| {
             Self::replay_cell(trace, *scheduler, cfg)
         });
         for ((key, ..), result) in items.into_iter().zip(results) {
@@ -575,20 +587,15 @@ impl Runner {
     }
 
     /// Runs one cell on the calling thread under the same
-    /// panic-isolation and fault-injection policy as the worker pool,
-    /// so failure semantics do not depend on the job count.
-    fn isolated_cell<O: Send>(
-        hooks: &FaultHooks,
-        key: &str,
+    /// panic-isolation policy as the worker pool, so failure semantics
+    /// do not depend on the job count.
+    pub(crate) fn isolated_cell<O: Send>(
         f: impl Fn() -> Result<O, SimError> + Sync,
     ) -> Result<O, SimError> {
-        scoped_map_isolated(1, &[()], |_| {
-            hooks.maybe_inject(key);
-            f()
-        })
-        .pop()
-        .expect("one item in, one result out")
-        .and_then(|r| r)
+        scoped_map_isolated(1, &[()], |_| f())
+            .pop()
+            .expect("one item in, one result out")
+            .and_then(|r| r)
     }
 
     /// A structurally valid stand-in returned for cache misses during a
@@ -658,9 +665,8 @@ impl Runner {
         if self.verbose {
             eprintln!("  [run {:>3}] {key}", self.runs_executed + 1);
         }
-        let outcome = Self::isolated_cell(&self.hooks, &key, || {
-            Self::run_cell(&cfg, workload, warm.as_ref())
-        });
+        let fault = self.injected.get(&key);
+        let outcome = Self::isolated_cell(|| Self::run_cell(&cfg, workload, warm.as_ref(), fault));
         self.runs_executed += 1;
         match outcome {
             Ok(stats) => {
@@ -709,7 +715,8 @@ impl Runner {
         if self.verbose {
             eprintln!("  [capture] {key}");
         }
-        let outcome = Self::isolated_cell(&self.hooks, &key, || Self::capture_cell(&cfg, app));
+        let fault = self.injected.get(&key);
+        let outcome = Self::isolated_cell(|| Self::capture_cell(&cfg, app, fault));
         self.runs_executed += 1;
         match outcome {
             Ok(trace) => {
@@ -754,9 +761,7 @@ impl Runner {
             eprintln!("  [replay {:>3}] {key}", self.replays_executed + 1);
         }
         let cfg = self.parallel_cfg().with_scheduler(scheduler);
-        let outcome = Self::isolated_cell(&self.hooks, &key, || {
-            Self::replay_cell(&trace, scheduler, &cfg)
-        });
+        let outcome = Self::isolated_cell(|| Self::replay_cell(&trace, scheduler, &cfg));
         self.replays_executed += 1;
         match outcome {
             Ok(stats) => {
@@ -782,7 +787,6 @@ impl Runner {
             .instructions
             .saturating_mul(20_000)
             .max(1_000_000_000);
-        cfg.shards = self.shards;
         cfg.skip_ahead = self.skip_ahead;
         cfg.audit = self.audit;
         cfg

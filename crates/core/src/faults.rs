@@ -1,8 +1,6 @@
 //! Deterministic fault injection: typed, seeded fault plans applied at
-//! real component boundaries, plus the legacy env-var panic hooks for
-//! the sweep-harness resilience tests.
-//!
-//! # Fault plans
+//! real component boundaries. A [`FaultPlan`] is the only way faults
+//! enter a run.
 //!
 //! A [`FaultPlan`] names the exact faults to inject into one run. Each
 //! [`FaultKind`] targets a specific seam of the system:
@@ -13,37 +11,22 @@
 //! * device faults ([`FaultKind::WedgeBank`],
 //!   [`FaultKind::CorruptSchedulerDecision`]) corrupt one channel's
 //!   controller at a chosen cycle;
+//! * [`FaultKind::Panic`] crashes the simulation itself at a chosen
+//!   cycle, exercising the sweep harness's panic isolation;
 //! * artifact faults ([`FaultKind::BitFlipTraceChunk`],
 //!   [`FaultKind::BitFlipCheckpoint`]) flip one byte of a serialized
 //!   trace or checkpoint before it is read back.
 //!
 //! The plan is plain data — fully determined by its fields plus the
 //! seed — so a campaign run is reproducible from its printed spec
-//! alone. Plans attach to a run via `Session::fault` (live faults) or
-//! are applied by the `repro audit campaign` runner (artifact faults).
-//! The audit campaign's contract: every injected fault must surface as
-//! a typed error, a watchdog trip, or an audit violation — never a
-//! silently different result.
-//!
-//! # Panic hooks (legacy env-var path)
-//!
-//! [`FaultHooks`] carries the panic-injection patterns the worker-pool
-//! resilience tests arm through the environment. Compiled to an inert
-//! no-op unless the `fault-inject` cargo feature is on; with the
-//! feature, [`FaultHooks::from_env`] reads:
-//!
-//! * `CRITMEM_FAULT_PANIC_KEY` — cells whose memo key contains the
-//!   pattern panic on **every** attempt (retry exhaustion path);
-//! * `CRITMEM_FAULT_PANIC_ONCE` — matching cells panic on their
-//!   **first** attempt only (retry recovery path).
-//!
-//! The hooks are owned per harness `Runner`, so the once-per-cell
-//! bookkeeping resets with every sweep instead of leaking across
-//! sweeps that share a process (the old process-global set did leak).
+//! alone. Plans attach to one run via `Session::fault`, to sweep cells
+//! by memo key via `Runner::inject`, or are applied by the
+//! `repro audit campaign` runner (artifact faults). The audit
+//! campaign's contract: every injected fault must surface as a typed
+//! error, a watchdog trip, or an audit violation — never a silently
+//! different result.
 
 use critmem_common::SimError;
-use std::collections::HashSet;
-use std::sync::Mutex;
 
 /// One fault to inject, targeting a specific component boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +76,14 @@ pub enum FaultKind {
         /// CPU cycle at (or after) which the rogue commands issue.
         at_cycle: u64,
     },
+    /// Panic on the first executed CPU cycle at or after `at_cycle`:
+    /// a crash inside the simulation, which the sweep harness must
+    /// contain to the one cell (reported as a cell panic after its
+    /// retries) while every other cell completes.
+    Panic {
+        /// CPU cycle at (or after) which the simulation panics.
+        at_cycle: u64,
+    },
     /// Flip one byte of a serialized trace before replaying it; the
     /// chunk CRC must reject it with a typed trace error.
     BitFlipTraceChunk {
@@ -116,6 +107,7 @@ impl FaultKind {
             FaultKind::DelayRequest { .. } => "delay-read",
             FaultKind::WedgeBank { .. } => "wedge-bank",
             FaultKind::CorruptSchedulerDecision { .. } => "corrupt-sched",
+            FaultKind::Panic { .. } => "panic",
             FaultKind::BitFlipTraceChunk { .. } => "flip-trace",
             FaultKind::BitFlipCheckpoint { .. } => "flip-ckpt",
         }
@@ -148,6 +140,7 @@ impl std::fmt::Display for FaultKind {
             FaultKind::CorruptSchedulerDecision { channel, at_cycle } => {
                 write!(f, "corrupt-sched@ch{channel},c{at_cycle}")
             }
+            FaultKind::Panic { at_cycle } => write!(f, "panic@c{at_cycle}"),
             FaultKind::BitFlipTraceChunk { byte_offset } => {
                 write!(f, "flip-trace@o{byte_offset}")
             }
@@ -221,6 +214,9 @@ impl std::str::FromStr for FaultKind {
                 channel: narrow(field("ch")?, u64::from(u16::MAX), "channel")? as u16,
                 at_cycle: field("c")?,
             },
+            "panic" => FaultKind::Panic {
+                at_cycle: field("c")?,
+            },
             "flip-trace" => FaultKind::BitFlipTraceChunk {
                 byte_offset: field("o")?,
             },
@@ -230,7 +226,7 @@ impl std::str::FromStr for FaultKind {
             other => {
                 return Err(bad(format!(
                     "unknown fault {other:?} (expected drop-read, dup-read, delay-read, \
-                     wedge-bank, corrupt-sched, flip-trace, or flip-ckpt)"
+                     wedge-bank, corrupt-sched, panic, flip-trace, or flip-ckpt)"
                 )))
             }
         })
@@ -285,57 +281,6 @@ impl FaultPlan {
     }
 }
 
-/// Panic-injection hooks for the sweep-harness resilience tests, owned
-/// by one harness `Runner` (see the module docs for the environment
-/// variables and why ownership is per-runner).
-#[derive(Debug, Default)]
-pub struct FaultHooks {
-    panic_key: Option<String>,
-    panic_once: Option<String>,
-    fired: Mutex<HashSet<String>>,
-}
-
-impl FaultHooks {
-    /// Builds hooks from the `CRITMEM_FAULT_PANIC_*` environment
-    /// variables. Without the `fault-inject` cargo feature the
-    /// environment is never read and the hooks are inert.
-    pub fn from_env() -> Self {
-        #[cfg(feature = "fault-inject")]
-        {
-            let read = |var: &str| std::env::var(var).ok().filter(|p| !p.is_empty());
-            FaultHooks {
-                panic_key: read("CRITMEM_FAULT_PANIC_KEY"),
-                panic_once: read("CRITMEM_FAULT_PANIC_ONCE"),
-                fired: Mutex::new(HashSet::new()),
-            }
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            FaultHooks::default()
-        }
-    }
-
-    /// Panics if an armed pattern matches `key` (substring match on
-    /// the cell's memo key). With no armed patterns — always the case
-    /// without the `fault-inject` feature — this is two `Option`
-    /// checks.
-    pub fn maybe_inject(&self, key: &str) {
-        if let Some(pat) = &self.panic_key {
-            if key.contains(pat.as_str()) {
-                panic!("injected fault: cell {key:?} matched CRITMEM_FAULT_PANIC_KEY={pat:?}");
-            }
-        }
-        if let Some(pat) = &self.panic_once {
-            if key.contains(pat.as_str()) && self.fired.lock().unwrap().insert(key.to_string()) {
-                panic!(
-                    "injected transient fault: cell {key:?} matched \
-                     CRITMEM_FAULT_PANIC_ONCE={pat:?}"
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,6 +293,7 @@ mod tests {
             "delay-read@n2,d4000000",
             "wedge-bank@ch0,r1,b7,c1000",
             "corrupt-sched@ch1,c5000",
+            "panic@c5",
             "flip-trace@o100",
             "flip-ckpt@o64",
         ];
@@ -386,32 +332,5 @@ mod tests {
         assert!(FaultKind::BitFlipTraceChunk { byte_offset: 1 }.is_artifact_fault());
         assert!(FaultKind::BitFlipCheckpoint { byte_offset: 1 }.is_artifact_fault());
         assert!(!FaultKind::DropRequest { nth_read: 1 }.is_artifact_fault());
-    }
-
-    #[test]
-    fn inert_hooks_never_fire() {
-        // Default hooks carry no patterns regardless of feature flags.
-        let hooks = FaultHooks::default();
-        hooks.maybe_inject("any|cell|key");
-    }
-
-    #[test]
-    fn once_hooks_track_per_instance_not_per_process() {
-        // The per-runner reset semantics satellite: two hook instances
-        // with the same pattern each fire independently.
-        let mk = || FaultHooks {
-            panic_key: None,
-            panic_once: Some("target".into()),
-            fired: Mutex::new(HashSet::new()),
-        };
-        for _ in 0..2 {
-            let hooks = mk();
-            let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                hooks.maybe_inject("a|target|cell")
-            }));
-            assert!(hit.is_err(), "fresh instance must fire");
-            // Second attempt on the same instance recovers.
-            hooks.maybe_inject("a|target|cell");
-        }
     }
 }

@@ -16,7 +16,7 @@
 //! * [`experiments`] — one harness per paper figure/table,
 //! * [`overhead`] — the §5.7 storage-overhead accounting,
 //! * [`audit`] / [`faults`] — independent run auditors and typed,
-//!   deterministic fault-injection plans (`repro audit`),
+//!   deterministic fault injection plans (`repro audit`),
 //! * the `repro` binary — prints every reproduced table.
 //!
 //! # Quick start
@@ -66,7 +66,7 @@ pub mod system;
 pub use audit::ConservationAuditor;
 pub use checkpoint::Checkpoint;
 pub use config::{AgentMix, PredictorKind, SystemConfig};
-pub use faults::{FaultHooks, FaultKind, FaultPlan};
+pub use faults::{FaultKind, FaultPlan};
 pub use metrics::{geomean, speedup, Average};
 pub use session::{RunOutput, Session};
 pub use system::{RunStats, System};

@@ -9,7 +9,7 @@ use critmem_cache::CacheHierarchy;
 use critmem_common::codec::{ByteReader, ByteWriter, CodecError};
 use critmem_common::{
     AccessKind, BankId, ClockDivider, CoreId, CpuCycle, Criticality, MemRequest, MetricVisitor,
-    Observable, RankId, RequestObserver, Sampler, Schema, SeriesSet, ShardPool, SimError, Snapshot,
+    Observable, RankId, RequestObserver, Sampler, Schema, SeriesSet, SimError, Snapshot,
     WatchdogReason, WatchdogSnapshot,
 };
 use critmem_cpu::{
@@ -261,6 +261,8 @@ struct FaultState {
     delayed: Option<(MemRequest, CpuCycle)>,
     wedges: Vec<ArmedWedge>,
     corrupts: Vec<ArmedCorrupt>,
+    /// CPU cycle of an armed [`FaultKind::Panic`].
+    panic_at: Option<CpuCycle>,
 }
 
 impl FaultState {
@@ -271,6 +273,7 @@ impl FaultState {
             && self.delayed.is_none()
             && self.wedges.iter().all(|w| w.fired)
             && self.corrupts.iter().all(|c| c.fired)
+            && self.panic_at.is_none()
     }
 }
 
@@ -304,10 +307,6 @@ pub struct System<O: RequestObserver = ()> {
     /// always a prefix.
     forwards: VecDeque<ForwardMsg>,
     sampler: Option<Sampler>,
-    /// Worker pool for the sharded DRAM tick; `None` runs the channels
-    /// serially. Purely a wall-clock accelerator — never serialized,
-    /// never observable in results.
-    shard_pool: Option<ShardPool>,
     /// Request-conservation auditor at the L2↔controller boundary;
     /// `Some` exactly when [`SystemConfig::audit`] is set (the DRAM
     /// protocol auditors are enabled alongside it).
@@ -582,11 +581,6 @@ impl<O: RequestObserver> System<O> {
                 Schema::build(|v| observe_components(&cores, &agents, &hierarchy, &dram, v));
             Sampler::new(schema, epoch)
         });
-        // A pool with one worker per shard, clamped so no worker can
-        // ever be left without a channel chunk to tick.
-        let channels = cfg.dram.org.channels as usize;
-        let shard_pool = (cfg.shards > 1 && channels > 1)
-            .then(|| ShardPool::new(cfg.shards.min(channels).min(critmem_dram::MAX_TICK_SHARDS)));
         Ok(System {
             hierarchy,
             dram,
@@ -596,7 +590,6 @@ impl<O: RequestObserver> System<O> {
             lq_full_cycles: vec![0; cfg.cores],
             forwards: VecDeque::new(),
             sampler,
-            shard_pool,
             conservation,
             faults: None,
             cores,
@@ -610,11 +603,11 @@ impl<O: RequestObserver> System<O> {
     }
 
     /// Arms a [`FaultPlan`]: live faults (request drops/duplicates/
-    /// delays, bank wedges, corrupted scheduler decisions) inject at
-    /// their component boundaries as the run executes. Artifact faults
-    /// in the plan ([`FaultKind::is_artifact_fault`]) do not touch the
-    /// live system and are ignored here — the campaign runner applies
-    /// them to serialized bytes directly.
+    /// delays, bank wedges, corrupted scheduler decisions, panics)
+    /// inject at their component boundaries as the run executes.
+    /// Artifact faults in the plan ([`FaultKind::is_artifact_fault`])
+    /// do not touch the live system and are ignored here — the campaign
+    /// runner applies them to serialized bytes directly.
     pub fn arm_faults(&mut self, plan: &FaultPlan) {
         let mut st = FaultState::default();
         for fault in &plan.faults {
@@ -643,6 +636,7 @@ impl<O: RequestObserver> System<O> {
                         fired: false,
                     });
                 }
+                FaultKind::Panic { at_cycle } => st.panic_at = Some(at_cycle),
                 FaultKind::BitFlipTraceChunk { .. } | FaultKind::BitFlipCheckpoint { .. } => {}
             }
         }
@@ -661,6 +655,11 @@ impl<O: RequestObserver> System<O> {
         };
         if f.idle() {
             return;
+        }
+        if let Some(at) = f.panic_at {
+            if now >= at {
+                panic!("injected fault panic@c{at} fired at cycle {now}");
+            }
         }
         for w in &mut f.wedges {
             if !w.fired && now >= w.at {
@@ -817,15 +816,9 @@ impl<O: RequestObserver> System<O> {
         if !self.agents.is_empty() {
             self.agent_step(now);
         }
-        // 4. DRAM bus clock. With a shard pool the channels tick on
-        // worker threads behind a cycle barrier; the merged completion
-        // list is identical to the serial tick either way.
+        // 4. DRAM bus clock.
         if self.divider.tick() {
-            let completions = match &mut self.shard_pool {
-                Some(pool) => self.dram.tick_sharded(pool),
-                None => self.dram.tick(),
-            };
-            for done in completions {
+            for done in self.dram.tick() {
                 if let Some(a) = &mut self.conservation {
                     a.on_complete(done.req.id, now);
                 }
@@ -1690,13 +1683,6 @@ mod tests {
             bytes(run(serial, &mix)),
             reference,
             "--no-skip-ahead must not perturb a hetero run"
-        );
-        let mut sharded = base();
-        sharded.shards = 2;
-        assert_eq!(
-            bytes(run(sharded, &mix)),
-            reference,
-            "--shards must not perturb a hetero run"
         );
         let audited = Session::new(base(), &mix)
             .audit(true)

@@ -371,7 +371,7 @@ impl ChannelTiming {
 
     /// Freezes one bank: every per-command floor is pushed to the end
     /// of time, so no command ever becomes issuable to it again. This
-    /// is the `WedgeBank` fault-injection seam — requests queued for
+    /// is the `WedgeBank` fault injection seam — requests queued for
     /// the bank starve and the forward-progress watchdog must trip.
     pub fn wedge_bank(&mut self, rank: RankId, bank: critmem_common::BankId) {
         let i = self.bank_index(rank, bank);

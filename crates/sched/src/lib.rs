@@ -55,9 +55,6 @@ use critmem_dram::CommandScheduler;
 /// annotations from a processor-side predictor; the scheduler itself is
 /// predictor-agnostic (the paper's division of labor).
 #[derive(Debug, Clone, Copy, PartialEq)]
-// `Wedged` is a deliberately hidden test-only variant, not a
-// non-exhaustiveness marker: matching on it exhaustively is fine.
-#[allow(clippy::manual_non_exhaustive)]
 pub enum SchedulerKind {
     /// Strict first-come-first-served.
     Fcfs,
@@ -103,33 +100,6 @@ pub enum SchedulerKind {
         /// Watermarks and hysteresis.
         cfg: MetaSwitchConfig,
     },
-    /// A scheduler that never issues a command — an artificial
-    /// livelock used by the resilience tests to exercise the
-    /// forward-progress watchdog. Not a paper configuration.
-    #[doc(hidden)]
-    Wedged,
-}
-
-/// The artificial-livelock scheduler behind [`SchedulerKind::Wedged`]:
-/// `select` always declines, so queued requests age forever while the
-/// controller stays formally alive. Exists to give the watchdog tests a
-/// realistic wedge without feature gates.
-#[doc(hidden)]
-#[derive(Debug, Default, Clone)]
-pub struct Wedge;
-
-impl CommandScheduler for Wedge {
-    fn select(
-        &mut self,
-        _ctx: &critmem_dram::SchedContext<'_>,
-        _candidates: &[critmem_dram::Candidate],
-    ) -> Option<usize> {
-        None
-    }
-
-    fn name(&self) -> &str {
-        "Wedged"
-    }
 }
 
 impl SchedulerKind {
@@ -172,7 +142,6 @@ impl SchedulerKind {
                 fair.build(num_threads, channel_seed),
                 cfg,
             )),
-            SchedulerKind::Wedged => Box::new(Wedge),
         }
     }
 
@@ -202,7 +171,6 @@ impl SchedulerKind {
             }
             SchedulerKind::Bliss(_) => "BLISS",
             SchedulerKind::MetaSwitch { .. } => "MetaSwitch",
-            SchedulerKind::Wedged => "Wedged",
         }
     }
 }

@@ -59,19 +59,15 @@ echo "== parallel engine smoke test (--jobs 2 must match serial output)"
 ./target/release/repro --scale quick --jobs 2 fig10 > "$tmp/fig10.jobs2" 2>/dev/null
 diff "$tmp/fig10.serial" "$tmp/fig10.jobs2"
 
-echo "== sharded kernel smoke test (--shards 2 / --no-skip-ahead match serial)"
-# Per-tick channel sharding and event-driven skip-ahead change
-# wall-clock time only; figure output must be byte-identical.
-./target/release/repro --scale quick --jobs 1 --shards 2 fig10 > "$tmp/fig10.shards2" 2>/dev/null
-diff "$tmp/fig10.serial" "$tmp/fig10.shards2"
+echo "== skip-ahead smoke test (--no-skip-ahead matches serial)"
+# Event-driven skip-ahead changes wall-clock time only; figure output
+# must be byte-identical.
 ./target/release/repro --scale quick --jobs 1 --no-skip-ahead fig10 > "$tmp/fig10.noskip" 2>/dev/null
 diff "$tmp/fig10.serial" "$tmp/fig10.noskip"
-# The recorded bench blocks must exist with their acceptance lines
+# The recorded bench block must exist with its acceptance line
 # (regenerate with `cargo bench --bench engine`).
 grep -q '"skip_ahead"' BENCH_engine.json
-grep -q '"sharded"' BENCH_engine.json
-grep -q '"acceptance": "speedup >= 3 on the DRAM-bound idle-heavy probe; stats byte-identical (asserted here and in tests/sharded_kernel.rs)"' BENCH_engine.json
-grep -q '"acceptance": "sharded_speedup > 1 when host_cpus > 1"' BENCH_engine.json
+grep -q '"acceptance": "speedup >= 3 on the DRAM-bound idle-heavy probe; stats byte-identical (asserted here and in tests/skip_ahead.rs)"' BENCH_engine.json
 
 echo "== checkpoint warm-start smoke test"
 # Round-trip a CMCK artifact through the CLI, then check that a
@@ -92,7 +88,7 @@ head -c 120 "$tmp/stats.serial" | grep -q '"type":"export"'
 echo "== fairness frontier smoke test (table + export, deterministic)"
 # One bundle through the scheduler zoo: the table must list BLISS and
 # MetaSwitch, the JSONL export block must follow, and stdout must be
-# byte-identical across --jobs, --shards, and --no-skip-ahead.
+# byte-identical across --jobs and --no-skip-ahead.
 ./target/release/repro --scale quick --jobs 1 fairness AELV > "$tmp/fair.serial" 2>/dev/null
 grep -q 'Performance-fairness frontier' "$tmp/fair.serial"
 grep -q '^BLISS ' "$tmp/fair.serial"
@@ -100,8 +96,6 @@ grep -q '^MetaSwitch ' "$tmp/fair.serial"
 grep -q '"type":"export"' "$tmp/fair.serial"
 ./target/release/repro --scale quick --jobs 2 fairness AELV > "$tmp/fair.jobs2" 2>/dev/null
 diff "$tmp/fair.serial" "$tmp/fair.jobs2"
-./target/release/repro --scale quick --jobs 1 --shards 2 fairness AELV > "$tmp/fair.shards2" 2>/dev/null
-diff "$tmp/fair.serial" "$tmp/fair.shards2"
 ./target/release/repro --scale quick --jobs 1 --no-skip-ahead fairness AELV > "$tmp/fair.noskip" 2>/dev/null
 diff "$tmp/fair.serial" "$tmp/fair.noskip"
 
@@ -122,7 +116,7 @@ diff "$tmp/hetero.serial" "$tmp/hetero.jobs2"
 
 echo "== audit smoke test (--audit byte-identical, campaign 100% detection)"
 # An audited run must be silent and byte-identical to the unaudited
-# baseline; the scheduler certification and the fault-injection
+# baseline; the scheduler certification and the fault injection
 # campaign must report zero silent outcomes; a single injected fault
 # must surface with its documented exit code (4 = audit violation).
 ./target/release/repro --scale quick --jobs 1 --audit fig10 > "$tmp/fig10.audit" 2>/dev/null
@@ -143,26 +137,17 @@ if [ "$rc" -ne 4 ]; then
 fi
 grep -q 'detected as audit violation' "$tmp/inject.out"
 
-echo "== fault-injection smoke test (isolation + journal resume)"
-# Build the harness with the injection hooks armed, wedge one cell of a
-# two-figure sweep, and check that (a) the sweep completes with a
-# non-zero exit and a failure report, and (b) --resume reproduces the
-# clean run's stdout byte for byte.
-cargo build --release --features critmem/fault-inject -q
-faulty=./target/release/repro
-"$faulty" --scale quick --jobs 4 fig4 fig6 > "$tmp/sweep.clean" 2>/dev/null
-if CRITMEM_FAULT_PANIC_KEY='mg|CASRAS-Crit|Binary' \
-    "$faulty" --scale quick --jobs 4 --journal "$tmp/sweep.cmjr" fig4 fig6 \
-    > "$tmp/sweep.faulted" 2>/dev/null; then
-  echo "fault-injection smoke: expected a non-zero exit" >&2
-  exit 1
-fi
-grep -q '=== Failed cells ===' "$tmp/sweep.faulted"
-"$faulty" --scale quick --jobs 4 --journal "$tmp/sweep.cmjr" --resume fig4 fig6 \
+echo "== sweep journal smoke test (--journal / --resume match a plain run)"
+# A journaled sweep and its resume must print exactly what a plain run
+# prints. Panic isolation and resuming after a failed cell are covered
+# by tests/resilience.rs, which injects faults through Runner::inject.
+./target/release/repro --scale quick --jobs 4 fig4 fig6 > "$tmp/sweep.plain" 2>/dev/null
+./target/release/repro --scale quick --jobs 4 --journal "$tmp/sweep.cmjr" fig4 fig6 \
+  > "$tmp/sweep.journaled" 2>/dev/null
+cmp "$tmp/sweep.plain" "$tmp/sweep.journaled"
+./target/release/repro --scale quick --jobs 4 --journal "$tmp/sweep.cmjr" --resume fig4 fig6 \
   > "$tmp/sweep.resumed" 2>/dev/null
-cmp "$tmp/sweep.clean" "$tmp/sweep.resumed"
-# Rebuild without the feature so later runs use the production binary.
-cargo build --release -q
+cmp "$tmp/sweep.plain" "$tmp/sweep.resumed"
 
 echo "== cargo fmt --check (fails on rustfmt drift)"
 cargo fmt --check

@@ -5,6 +5,9 @@
 use critmem::config::{AgentMix, PredictorKind};
 use critmem::experiments::{Runner, Scale};
 use critmem::journal::SweepJournal;
+use critmem::pool::MAX_ATTEMPTS;
+use critmem::{FaultKind, FaultPlan, RunStats};
+use critmem_common::codec::ByteWriter;
 use critmem_common::SimError;
 use critmem_sched::SchedulerKind;
 use std::path::PathBuf;
@@ -16,31 +19,78 @@ fn tiny_scale() -> Scale {
     }
 }
 
+/// The faulted cell of every test: `app` under CASRAS-Crit without a
+/// predictor, i.e. `r.parallel(app, SchedulerKind::CasRasCrit,
+/// PredictorKind::None)`.
+fn faulted_cell(r: &mut Runner, app: &'static str) -> std::sync::Arc<RunStats> {
+    r.parallel(app, SchedulerKind::CasRasCrit, PredictorKind::None)
+}
+
+/// The memo key of [`faulted_cell`] at [`tiny_scale`].
+fn faulted_key(app: &str) -> String {
+    format!("{app}|CASRAS-Crit|none|@500")
+}
+
+/// Wedges every bank of the runner's platform at cycle 0: no command
+/// ever issues, so the cell livelocks until the watchdog trips.
+fn wedge_all(r: &Runner) -> FaultPlan {
+    let org = r.parallel_cfg().dram.org;
+    let mut plan = FaultPlan::new(0);
+    for channel in 0..u16::from(org.channels) {
+        for rank in 0..org.ranks_per_channel {
+            for bank in 0..org.banks_per_rank {
+                plan = plan.with_fault(FaultKind::WedgeBank {
+                    channel,
+                    rank,
+                    bank,
+                    at_cycle: 0,
+                });
+            }
+        }
+    }
+    plan
+}
+
+/// Arms [`wedge_all`] on the faulted cell of each of `apps`.
+fn wedge(r: &mut Runner, apps: &[&str]) {
+    for app in apps {
+        let plan = wedge_all(r);
+        r.inject(faulted_key(app), plan);
+    }
+}
+
+fn bytes(stats: &RunStats) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    stats.encode(&mut w);
+    w.into_bytes()
+}
+
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("critmem-resilience-{name}-{}", std::process::id()));
     p
 }
 
-/// A cell that livelocks (wedged scheduler, watchdog trip) is recorded
+/// A cell that livelocks (every bank wedged, watchdog trip) is recorded
 /// as a per-cell failure while the surrounding cells complete and the
 /// figure still renders from placeholder values.
 #[test]
 fn wedged_cell_fails_alone_and_the_sweep_survives() {
     let mut r = Runner::new(tiny_scale());
+    wedge(&mut r, &["swim"]);
     let good_before = r.baseline("swim");
-    let bad = r.parallel("swim", SchedulerKind::Wedged, PredictorKind::None);
+    let bad = faulted_cell(&mut r, "swim");
     let good_after = r.baseline("mg");
     assert!(good_before.cycles > 1 && good_after.cycles > 1);
     assert_eq!(bad.cycles, 1, "failed cell must hold the placeholder");
     assert!(r.has_failures());
     assert_eq!(r.failures().len(), 1);
     let f = &r.failures()[0];
-    assert!(f.key.contains("Wedged"), "{}", f.key);
+    assert_eq!(f.key, faulted_key("swim"));
     assert!(matches!(f.error, SimError::Watchdog(_)), "{:?}", f.error);
     // The placeholder is memoized: re-requesting the failed cell must
     // not re-run the livelock (and must not duplicate the failure).
-    let again = r.parallel("swim", SchedulerKind::Wedged, PredictorKind::None);
+    let again = faulted_cell(&mut r, "swim");
     assert!(std::sync::Arc::ptr_eq(&bad, &again));
     assert_eq!(r.failures().len(), 1);
 }
@@ -52,10 +102,11 @@ fn parallel_sweep_with_wedged_cell_matches_serial() {
     let sweep = |jobs: usize| {
         let mut r = Runner::new(tiny_scale());
         r.jobs = jobs;
+        wedge(&mut r, &["swim", "mg"]);
         r.run_parallel(|r| {
             for app in ["swim", "mg"] {
                 r.baseline(app);
-                r.parallel(app, SchedulerKind::Wedged, PredictorKind::None);
+                faulted_cell(r, app);
             }
         });
         let failures: Vec<String> = r.failures().iter().map(|f| f.key.clone()).collect();
@@ -134,8 +185,9 @@ fn journal_resume_retries_only_the_failed_cell() {
     let path = tmp("retry");
     let mut first = Runner::new(tiny_scale());
     first.set_journal(SweepJournal::create(&path).unwrap());
+    wedge(&mut first, &["swim"]);
     first.baseline("swim");
-    first.parallel("swim", SchedulerKind::Wedged, PredictorKind::None);
+    faulted_cell(&mut first, "swim");
     assert_eq!(first.failures().len(), 1);
 
     let (journal, entries) = SweepJournal::resume(&path).unwrap();
@@ -143,6 +195,7 @@ fn journal_resume_retries_only_the_failed_cell() {
     let mut resumed = Runner::new(tiny_scale());
     resumed.preload(entries);
     resumed.set_journal(journal);
+    wedge(&mut resumed, &["swim"]);
     resumed.baseline("swim");
     assert_eq!(
         resumed.runs_executed(),
@@ -151,8 +204,88 @@ fn journal_resume_retries_only_the_failed_cell() {
     );
     // The wedged cell is retried (and, being genuinely wedged, fails
     // again — but it was retried, which is the contract).
-    resumed.parallel("swim", SchedulerKind::Wedged, PredictorKind::None);
+    faulted_cell(&mut resumed, "swim");
     assert_eq!(resumed.runs_executed(), 1);
     assert_eq!(resumed.failures().len(), 1);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A panic inside one simulation of a parallel, journaled sweep is
+/// contained to that cell: it fails as a cell panic after every retry,
+/// every other cell equals a clean sweep's, and a resume from the
+/// journal re-runs exactly the panicked cell.
+#[test]
+fn injected_panic_fails_one_cell_and_resume_reruns_only_it() {
+    const APPS: [&str; 2] = ["swim", "mg"];
+    let sweep = |r: &mut Runner| {
+        r.run_parallel(|r| {
+            for app in APPS {
+                r.baseline(app);
+                faulted_cell(r, app);
+            }
+        })
+    };
+    // Every cell's full statistics, recalled from the memo tables.
+    let cells = |r: &mut Runner| -> Vec<(String, Vec<u8>)> {
+        let mut v = Vec::new();
+        for app in APPS {
+            v.push((format!("{app} baseline"), bytes(&r.baseline(app))));
+            v.push((faulted_key(app), bytes(&faulted_cell(r, app))));
+        }
+        v
+    };
+    let mut clean = Runner::new(tiny_scale());
+    clean.jobs = 4;
+    sweep(&mut clean);
+    assert!(!clean.has_failures());
+    let reference = cells(&mut clean);
+
+    let path = tmp("panic");
+    let target = faulted_key("mg");
+    let mut faulted = Runner::new(tiny_scale());
+    faulted.jobs = 4;
+    faulted.set_journal(SweepJournal::create(&path).unwrap());
+    faulted.inject(
+        target.clone(),
+        FaultPlan::new(0).with_fault(FaultKind::Panic { at_cycle: 0 }),
+    );
+    sweep(&mut faulted);
+    assert_eq!(faulted.failures().len(), 1);
+    let f = &faulted.failures()[0];
+    assert_eq!(f.key, target);
+    assert!(
+        matches!(
+            f.error,
+            SimError::CellPanic {
+                attempts: MAX_ATTEMPTS,
+                ..
+            }
+        ),
+        "{:?}",
+        f.error
+    );
+    let executed = faulted.runs_executed();
+    let got = cells(&mut faulted);
+    assert_eq!(faulted.runs_executed(), executed, "recall re-ran a cell");
+    for (want, have) in reference.iter().zip(&got) {
+        if want.0 != target {
+            assert_eq!(want, have, "{} differs from the clean sweep", want.0);
+        }
+    }
+
+    let (journal, entries) = SweepJournal::resume(&path).unwrap();
+    assert_eq!(
+        entries.len(),
+        reference.len() - 1,
+        "all but the panicked cell"
+    );
+    let mut resumed = Runner::new(tiny_scale());
+    resumed.jobs = 4;
+    resumed.preload(entries);
+    resumed.set_journal(journal);
+    sweep(&mut resumed);
+    assert_eq!(resumed.runs_executed(), 1, "only the panicked cell re-runs");
+    assert!(!resumed.has_failures());
+    assert_eq!(cells(&mut resumed), reference);
     std::fs::remove_file(&path).unwrap();
 }

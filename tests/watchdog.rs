@@ -3,9 +3,9 @@
 //! snapshot) on an artificially wedged memory controller.
 
 use critmem::config::{AgentMix, PredictorKind, SystemConfig};
-use critmem::{RunStats, Session, System};
+use critmem::{FaultKind, FaultPlan, RunStats, Session, System};
 use critmem_common::{SimError, WatchdogReason};
-use critmem_dram::DramSystem;
+use critmem_dram::{Candidate, CommandScheduler, DramSystem, SchedContext};
 use critmem_predict::CbpMetric;
 use critmem_sched::SchedulerKind;
 use critmem_trace::{ReplayConfig, TraceReplayer};
@@ -19,6 +19,43 @@ fn small_cfg(instructions: u64) -> SystemConfig {
 
 fn try_run(cfg: SystemConfig, workload: &AgentMix) -> Result<RunStats, SimError> {
     Session::new(cfg, workload).run().map(|out| out.stats)
+}
+
+/// Runs with every bank of the platform wedged at cycle 0: no command
+/// ever issues, the canonical livelock.
+fn try_run_wedged(cfg: SystemConfig, workload: &AgentMix) -> Result<RunStats, SimError> {
+    let org = cfg.dram.org;
+    let mut plan = FaultPlan::new(0);
+    for channel in 0..u16::from(org.channels) {
+        for rank in 0..org.ranks_per_channel {
+            for bank in 0..org.banks_per_rank {
+                plan = plan.with_fault(FaultKind::WedgeBank {
+                    channel,
+                    rank,
+                    bank,
+                    at_cycle: 0,
+                });
+            }
+        }
+    }
+    Session::new(cfg, workload)
+        .fault(plan)
+        .run()
+        .map(|out| out.stats)
+}
+
+/// A scheduler that never issues a command: the trace-replay path's
+/// wedge (replay has no fault-plan seam).
+struct NeverIssue;
+
+impl CommandScheduler for NeverIssue {
+    fn select(&mut self, _ctx: &SchedContext<'_>, _candidates: &[Candidate]) -> Option<usize> {
+        None
+    }
+
+    fn name(&self) -> &str {
+        "never-issue"
+    }
 }
 
 /// The watchdog's thresholds sit far outside healthy behavior: a
@@ -50,13 +87,12 @@ fn never_fires_on_healthy_workloads_under_all_metrics() {
     }
 }
 
-/// A scheduler that never issues a command is the canonical livelock:
+/// A controller that never issues a command is the canonical livelock:
 /// the watchdog must catch it and the snapshot must carry the full
 /// diagnosis (per-core state, MSHRs, per-bank queues).
 #[test]
 fn wedged_scheduler_trips_with_complete_snapshot() {
-    let cfg = small_cfg(5_000).with_scheduler(SchedulerKind::Wedged);
-    let err = try_run(cfg, &AgentMix::Parallel("swim"))
+    let err = try_run_wedged(small_cfg(5_000), &AgentMix::Parallel("swim"))
         .expect_err("a wedged controller must trip the watchdog");
     let SimError::Watchdog(snap) = err else {
         panic!("expected a watchdog error, got {err:?}");
@@ -120,7 +156,7 @@ fn replay_watchdog_catches_a_wedged_scheduler() {
         .observer
         .into_trace();
     assert!(!trace.records.is_empty(), "swim must miss the L2");
-    let dram = DramSystem::new(cfg.dram, |_| Box::new(critmem_sched::Wedge));
+    let dram = DramSystem::new(cfg.dram, |_| Box::new(NeverIssue));
     let err = TraceReplayer::new(trace, dram, ReplayConfig::default())
         .expect("same topology")
         .try_run()
@@ -142,10 +178,10 @@ fn replay_watchdog_catches_a_wedged_scheduler() {
 /// the cycle budget instead of the progress checks.
 #[test]
 fn disabled_watchdog_falls_through_to_cycle_budget() {
-    let mut cfg = small_cfg(5_000).with_scheduler(SchedulerKind::Wedged);
+    let mut cfg = small_cfg(5_000);
     cfg.watchdog = critmem_common::WatchdogConfig::disabled();
     cfg.max_cycles = 100_000;
-    let err = try_run(cfg, &AgentMix::Parallel("swim")).expect_err("still wedged");
+    let err = try_run_wedged(cfg, &AgentMix::Parallel("swim")).expect_err("still wedged");
     match err {
         SimError::Watchdog(snap) => assert_eq!(
             snap.reason,
